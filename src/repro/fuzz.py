@@ -387,7 +387,8 @@ class Divergence:
     """One configuration that disagreed with the scalar baseline."""
 
     seed: int
-    kind: str         # "crash" | "memory" | "report" | "plan" | "interpret"
+    #: "crash" | "memory" | "report" | "memo" | "plan" | "interpret"
+    kind: str
     variant: str
     grouping_engine: str
     sim_engine: Optional[str]
@@ -435,6 +436,23 @@ def _first_mismatch(baseline, snapshot) -> Optional[str]:
     for name, expected in base_scalars.items():
         if scalars[name] != expected:
             return f"{name}: scalar={expected!r} vector={scalars[name]!r}"
+    return None
+
+
+def _memo_hit_mismatch(plan, machine, first_report, seed) -> Optional[str]:
+    """Run the compiled engine again on a plan it has already run, at
+    another seed. That run is a timing-memo hit: only the functional
+    kernels execute and the report comes from the memo. It must equal
+    the first run's report, and its memory must equal the reference
+    engine's at the new seed."""
+    report, memory = Simulator(machine, engine="compiled").run(
+        plan, seed=seed
+    )
+    if report != first_report:
+        return "compiled memo-hit ExecutionReport differs from its first run"
+    _, expected = Simulator(machine, engine="reference").run(plan, seed=seed)
+    if not memory.state_equal(expected):
+        return f"compiled memo-hit memory differs from reference (seed {seed})"
     return None
 
 
@@ -549,6 +567,22 @@ def differential_check(
                         "report", variant.value, grouping, sim_engine,
                         f"{sim_engine} ExecutionReport differs from "
                         "reference",
+                    )
+            if "compiled" in reports:
+                try:
+                    mismatch = _memo_hit_mismatch(
+                        result.plan, machine, reports["compiled"],
+                        sim_seed + 1,
+                    )
+                except Exception as exc:
+                    return diverged(
+                        "crash", variant.value, grouping, "compiled",
+                        format_failure(exc),
+                    )
+                if mismatch is not None:
+                    return diverged(
+                        "memo", variant.value, grouping, "compiled",
+                        mismatch,
                     )
         # Grouping engines sharing a plan-equivalence class (see
         # ``Engine.equivalence``) must emit bit-identical plans: both

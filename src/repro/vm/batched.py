@@ -212,14 +212,11 @@ class BatchedEngine:
         interpreter's ``run_copy`` issues, so cache state, miss count,
         and the amortized cycle charge are identical."""
         rep = unit.replication
-        loop = rep.loop
-        trips = loop.trip_count
-        lanes = rep.lanes
-        streams = [
-            affine_stream(flat, loop.index, {}) for flat in rep.lane_flats
-        ]
-        if any(stream is None for stream in streams):
+        indices = _copy_indices(rep)
+        if indices is None:
             return False
+        trips = rep.loop.trip_count
+        lanes = rep.lanes
         memory = self.memory
         src = memory.arrays[rep.source]
         dst = memory.arrays[rep.new_name]
@@ -228,14 +225,10 @@ class BatchedEngine:
         src_bytes = memory._elem_bytes[rep.source]
         dst_bytes = memory._elem_bytes[rep.new_name]
         line_bytes = self.cache.config.line_bytes
-        ivals = np.arange(loop.start, loop.stop, loop.step, dtype=np.int64)
-        jvals = np.arange(trips, dtype=np.int64)
         m = 2 * lanes
         firsts = np.empty((trips, m), dtype=np.int64)
         counts = np.empty((trips, m), dtype=np.int64)
-        for k, (base, stride) in enumerate(streams):
-            src_idx = base + stride * ivals
-            dst_idx = lanes * jvals + k
+        for k, (src_idx, dst_idx) in enumerate(indices):
             dst[dst_idx] = src[src_idx]
             for col, addr, nbytes in (
                 (2 * k, src_addr_base + src_idx * src_bytes, src_bytes),
@@ -265,6 +258,11 @@ class BatchedEngine:
         self.report.add_extra_cycles(amortized)
         return True
 
+    def finish(self, report):
+        """The report ``Simulator.run`` returns for a completed run;
+        subclass hook (the compiled engine memoizes timing here)."""
+        return report
+
     # -- timing replay ---------------------------------------------------------------
 
     def _replay_stream(self, lines: np.ndarray) -> np.ndarray:
@@ -287,32 +285,36 @@ class BatchedEngine:
         m = len(touches)
         memory = self.memory
         line_bytes = self.cache.config.line_bytes
-        firsts = np.empty((trips, m), dtype=np.int64)
-        counts = np.empty((trips, m), dtype=np.int64)
+        # Every touch's byte address is affine in the loop index,
+        # origin + step * i, so one (trips, m) broadcast covers them all.
+        origin = np.empty(m, dtype=np.int64)
+        step = np.empty(m, dtype=np.int64)
+        reach = np.empty(m, dtype=np.int64)
         for j, touch in enumerate(touches):
             base, stride = streams[touch.flat]
-            addresses = (
-                memory._base[touch.array]
-                + (base + stride * ivals) * memory._elem_bytes[touch.array]
-            )
-            first = addresses // line_bytes
-            firsts[:, j] = first
-            counts[:, j] = (
-                (addresses + (touch.size_bytes - 1)) // line_bytes - first + 1
-            )
+            elem = memory._elem_bytes[touch.array]
+            origin[j] = memory._base[touch.array] + base * elem
+            step[j] = stride * elem
+            reach[j] = touch.size_bytes - 1
+        addresses = origin + ivals[:, None] * step
+        firsts = addresses // line_bytes
+        spill = (addresses + reach) // line_bytes - firsts
         flat_firsts = firsts.ravel()
-        flat_counts = counts.ravel()
-        total = int(flat_counts.sum())
+        touch_ids = np.tile(np.arange(m, dtype=np.int64), trips)
+        if not spill.any():
+            # Every access stays within one line.
+            return flat_firsts, touch_ids, np.full(m, trips, dtype=np.int64)
         # Expand each (first, count) range into consecutive line IDs.
+        counts = spill + 1
+        lines_per_touch = counts.sum(axis=0)
+        total = int(lines_per_touch.sum())
+        flat_counts = counts.ravel()
         ends = np.cumsum(flat_counts)
         offsets = np.arange(total, dtype=np.int64) - np.repeat(
             ends - flat_counts, flat_counts
         )
         lines = np.repeat(flat_firsts, flat_counts) + offsets
-        touch_ids = np.repeat(
-            np.tile(np.arange(m, dtype=np.int64), trips), flat_counts
-        )
-        return lines, touch_ids, counts.sum(axis=0)
+        return lines, np.repeat(touch_ids, flat_counts), lines_per_touch
 
     def _replay(
         self,
@@ -394,6 +396,22 @@ class BatchedEngine:
                 report.charges[key] = report.charges.get(key, 0) + total
                 if sink is not None:
                     sink.charges[key] = sink.charges.get(key, 0) + total
+
+
+def _copy_indices(rep) -> Optional[List[Tuple[np.ndarray, np.ndarray]]]:
+    """Per lane of a layout replication, the (source, destination)
+    element index columns of its copy loop, or None when a lane's
+    source is not closed-form in the loop index."""
+    loop = rep.loop
+    streams = [affine_stream(flat, loop.index, {}) for flat in rep.lane_flats]
+    if any(stream is None for stream in streams):
+        return None
+    ivals = np.arange(loop.start, loop.stop, loop.step, dtype=np.int64)
+    jvals = np.arange(loop.trip_count, dtype=np.int64) * rep.lanes
+    return [
+        (base + stride * ivals, jvals + k)
+        for k, (base, stride) in enumerate(streams)
+    ]
 
 
 class _Entry:

@@ -25,6 +25,16 @@ the same integer charge buckets, and a bulk LRU replay
 state-identical to the sequential one — so every ``ExecutionReport``
 is exactly equal to the reference interpreter's, provenance included.
 
+That timing is computed once per (plan, memory layout). Addresses are
+affine in loop indices only and ``vselect`` evaluates both arms, so
+the report never depends on the data. The first completed run under a
+layout does the full accounting and replay and leaves its report in
+the kernel set's timing memo (:attr:`LoadedPlanKernels.timing`);
+every later run with that layout runs only the functional work —
+kernels, copy-unit element copies, and the normal path of preheaders,
+straight-line and fallback units, whose scratch report is discarded —
+and returns a fresh copy of the memoized report.
+
 Any loop the decode analysis rejects (inner nests at their outer
 level, carried scalars/registers, potential array collisions, affines
 unbound in the loop index) falls back per-unit to the batched engine
@@ -45,10 +55,17 @@ import numpy as np
 
 from ..ir import Affine, ArrayRef, Const, Expr, Var
 from ..perf import count
-from .batched import BatchedEngine, _col_last, _decode_loop, _LoopProgram
+from .batched import (
+    BatchedEngine,
+    _col_last,
+    _copy_indices,
+    _decode_loop,
+    _LoopProgram,
+)
 from .codegen import (
     CompiledCopy,
     CompiledLoop,
+    CompiledStraight,
     ExecutablePlan,
     affine_stream,
 )
@@ -65,15 +82,24 @@ from .isa import (
 )
 from . import peephole
 from .peephole import PeepholeEvent, VCopy, peephole_optimize
+from .report import ExecutionReport
+from .simulator import replica_elem_bytes
 
 #: Bumped whenever emitted source semantics change; part of the kernel
 #: artifact key, so a version bump invalidates every cached kernel.
 #: v2: comparison + select (predication) templates.
-CODEGEN_VERSION = 2
+#: v3: the fingerprint also covers straight-line and copy units, which
+#: the timing memo keyed under it depends on.
+CODEGEN_VERSION = 3
 
 #: In-process LRU memo of loaded kernel sets, keyed by fingerprint.
 _MEMO: "OrderedDict[str, LoadedPlanKernels]" = OrderedDict()
 _MEMO_CAP = 32
+#: Timing-memo entries kept per loaded kernel set (the memo is
+#: emptied when full); a plan normally runs under one layout, so this
+#: only bounds callers that cycle through caller-built ``Memory``
+#: layouts.
+_TIMING_CAP = 4
 
 
 # -- artifacts ---------------------------------------------------------------------
@@ -120,11 +146,6 @@ class _KernelEntry:
     #: to what the batched engine would use.
     program: Optional[_LoopProgram]
     static: bool
-    #: Arrays the accounting replay touches (stream-cache key basis).
-    touch_arrays: Tuple[str, ...] = ()
-    #: For static loops: (line_bytes, bases...) -> prebuilt
-    #: (lines, touch_ids, lines_per_touch) replay stream.
-    stream_cache: Dict[tuple, tuple] = field(default_factory=dict)
 
 
 @dataclass
@@ -134,6 +155,10 @@ class LoadedPlanKernels:
     fingerprint: str
     artifact: PlanKernelsArtifact
     entries: Dict[str, _KernelEntry]
+    #: The timing memo: run layout (see ``_layout_key``) -> the report
+    #: of the first completed run with that layout. Filled lazily by
+    #: ``CompiledEngine.finish``, never at load time.
+    timing: Dict[tuple, ExecutionReport] = field(default_factory=dict)
 
 
 # -- plan walking ------------------------------------------------------------------
@@ -157,39 +182,31 @@ class _ElemShim:
     can run at kernel-load time without building program state."""
 
     def __init__(self, plan: ExecutablePlan):
-        program = plan.program
-        self.program = program
-        elem = {
-            decl.name: decl.type.bytes for decl in program.arrays.values()
+        self.program = plan.program
+        self._elem_bytes = {
+            decl.name: decl.type.bytes
+            for decl in plan.program.arrays.values()
         }
-        rep_types = {
-            unit.replication.new_name: program.arrays[
-                unit.replication.source
-            ].type
-            for unit in plan.units
-            if isinstance(unit, CompiledCopy)
-        }
-        for name in plan.replicated_decls:
-            rep = rep_types.get(name)
-            elem[name] = rep.bytes if rep else 8
-        self._elem_bytes = elem
+        self._elem_bytes.update(replica_elem_bytes(plan))
 
 
 # -- fingerprinting ----------------------------------------------------------------
 
 
 def kernel_fingerprint(plan: ExecutablePlan, machine) -> str:
-    """Content hash of everything kernel emission depends on.
+    """Content hash of everything a plan's kernels and timing depend on.
 
     Covers the program text, replicated declarations, machine
     parameters (accounting tables bake in unit costs), the codegen
-    version, and — per loop — the spec plus every preheader/body
-    instruction *including its provenance ID*: ``prov`` is excluded
-    from dataclass equality/repr, but the accounting tables key
-    provenance sinks by it, so two plans differing only in tagging
-    must not share kernels. Memoized on the plan object (plans are
-    immutable after codegen)."""
-    cache_key = (CODEGEN_VERSION, repr(machine))
+    version, every copy unit, and every loop spec, preheader, body and
+    straight-line instruction *including its provenance ID*: ``prov``
+    is excluded from dataclass equality/repr, but the accounting
+    tables key provenance sinks by it, so two plans differing only in
+    tagging must not share kernels. The non-loop units do not shape
+    the kernels, but they do shape the report the timing memo keeps
+    under this key. Memoized on the plan object (plans are immutable
+    after codegen)."""
+    cache_key = (CODEGEN_VERSION, machine)
     cached = getattr(plan, "_kernel_fp", None)
     if cached is not None and cached[0] == cache_key:
         return cached[1]
@@ -205,12 +222,23 @@ def kernel_fingerprint(plan: ExecutablePlan, machine) -> str:
     feed(format_program(plan.program))
     feed(repr(sorted(plan.replicated_decls.items())))
     feed(repr(machine))
+
+    def feed_instructions(instructions) -> None:
+        for instr in instructions:
+            feed(repr(instr))
+            feed(repr(getattr(instr, "prov", None)))
+
+    for uidx, unit in enumerate(plan.units):
+        if isinstance(unit, CompiledStraight):
+            feed(f"u{uidx}")
+            feed_instructions(unit.instructions)
+        elif isinstance(unit, CompiledCopy):
+            feed(f"u{uidx}")
+            feed(repr(unit))
     for path, unit in _walk_loops(plan):
         feed(path)
         feed(repr(unit.spec))
-        for instr in list(unit.preheader) + list(unit.body):
-            feed(repr(instr))
-            feed(repr(getattr(instr, "prov", None)))
+        feed_instructions(list(unit.preheader) + list(unit.body))
     fingerprint = digest.hexdigest()
     try:
         plan._kernel_fp = (cache_key, fingerprint)  # type: ignore[attr-defined]
@@ -607,15 +635,7 @@ def _bind_artifact(
                 fn = namespace.get(meta.fn_name)
         if fn is None:
             program = None
-        entries[meta.path] = _KernelEntry(
-            meta.path,
-            fn,
-            program,
-            meta.static,
-            tuple(sorted({t.array for t in program.touches}))
-            if program is not None
-            else (),
-        )
+        entries[meta.path] = _KernelEntry(meta.path, fn, program, meta.static)
     return LoadedPlanKernels(fingerprint, artifact, entries)
 
 
@@ -665,26 +685,42 @@ def clear_kernel_memo() -> None:
     _MEMO.clear()
 
 
+def clear_timing_memo() -> None:
+    """Test hook: forget every memoized run timing, so the next run of
+    each plan replays the cache again. Loaded kernels stay."""
+    for loaded in _MEMO.values():
+        loaded.timing.clear()
+
+
 # -- the engine --------------------------------------------------------------------
 
 
 class CompiledEngine(BatchedEngine):
-    """Batched engine with pre-compiled functional kernels and bulk
-    LRU replay. Inherits the accounting (``_account``), the replay
-    attribution, the copy-unit path, and the fallback decode — every
-    loop without a kernel behaves exactly as under the batched
-    engine."""
+    """Batched engine with pre-compiled functional kernels, bulk LRU
+    replay, and timing computed once per (plan, layout).
+
+    The first completed run under a layout executes exactly like the
+    batched engine — inherited accounting (``_account``), replay
+    attribution and copy-unit path, every loop without a kernel on the
+    batched fallback — and ``finish`` stores its report in the kernel
+    set's timing memo. A later run under the same layout is a memo
+    hit: compiled loops call only their kernel, copy units only copy,
+    and ``finish`` returns a fresh copy of the stored report in place
+    of the scratch one the run produced."""
 
     def __init__(self, state, plan: ExecutablePlan, kernels):
         super().__init__(state)
         self.compiled_loops = 0
         self.compiled_fallbacks = 0
         self._entries: Dict[int, _KernelEntry] = {}
-        if kernels is not None:
-            for path, unit in _walk_loops(plan):
-                entry = kernels.entries.get(path)
-                if entry is not None:
-                    self._entries[id(unit)] = entry
+        for path, unit in _walk_loops(plan):
+            entry = kernels.entries.get(path)
+            if entry is not None:
+                self._entries[id(unit)] = entry
+        self._timing = kernels.timing
+        self._layout = _layout_key(state.memory, state.cache)
+        #: The memoized report on a memo hit, else None (timed run).
+        self._memo_report = self._timing.get(self._layout)
 
     def _replay_stream(self, lines: np.ndarray) -> np.ndarray:
         return self.cache.replay_lines_bulk(lines)
@@ -712,34 +748,58 @@ class CompiledEngine(BatchedEngine):
             else tuple(streams[flat][0] for flat in program.flats)
         )
         entry.fn(memory.arrays, memory.scalars, self.state.vregs, bases)
-        self._account(program, trips)
-        if program.touches:
-            key = None
-            cached = None
-            if entry.static:
-                key = (self.cache.config.line_bytes,) + tuple(
-                    memory._base[a] for a in entry.touch_arrays
-                )
-                cached = entry.stream_cache.get(key)
-            if cached is None:
-                ivals = np.arange(
-                    spec.start, spec.stop, spec.step, dtype=np.int64
-                )
-                cached = self._build_line_stream(
-                    program, trips, ivals, streams
-                )
-                if key is not None:
-                    entry.stream_cache[key] = cached
-            self._attribute_replay(program, *cached)
+        if self._memo_report is None:
+            self._account(program, trips)
+            ivals = np.arange(
+                spec.start, spec.stop, spec.step, dtype=np.int64
+            )
+            self._replay(program, trips, ivals, streams)
         env.pop(spec.index, None)
         self.compiled_loops += 1
         count("simulate.compiled_loops")
         return True
 
+    def run_copy(self, unit) -> bool:
+        if self._memo_report is None:
+            return super().run_copy(unit)
+        rep = unit.replication
+        indices = _copy_indices(rep)
+        if indices is None:
+            return False
+        src = self.memory.arrays[rep.source]
+        dst = self.memory.arrays[rep.new_name]
+        for src_idx, dst_idx in indices:
+            dst[dst_idx] = src[src_idx]
+        return True
+
+    def finish(self, report: ExecutionReport) -> ExecutionReport:
+        if self._memo_report is not None:
+            count("simulate.timing_memo_hits")
+            return self._memo_report.copy()
+        # Clearing, unlike evicting one entry, needs no iteration, so
+        # threads sharing a kernel set cannot trip over each other.
+        if len(self._timing) >= _TIMING_CAP:
+            self._timing.clear()
+        self._timing[self._layout] = report.copy()
+        return report
+
     def _fallback(self, unit: CompiledLoop, env: Dict[str, int]) -> bool:
         self.compiled_fallbacks += 1
         count("simulate.compiled_fallbacks")
         return super().run_loop(unit, env)
+
+
+def _layout_key(memory, cache) -> tuple:
+    """What a run's timing depends on besides the plan and machine:
+    the cache line size and every array's base address and element
+    width. Addresses are affine in loop indices only and ``vselect``
+    evaluates both arms, so no timing input depends on array or
+    scalar contents."""
+    return (
+        cache.config.line_bytes,
+        tuple(memory._base.items()),
+        tuple(memory._elem_bytes.items()),
+    )
 
 
 __all__ = [
@@ -749,6 +809,7 @@ __all__ = [
     "LoadedPlanKernels",
     "PlanKernelsArtifact",
     "clear_kernel_memo",
+    "clear_timing_memo",
     "emit_plan_kernels",
     "kernel_fingerprint",
     "load_plan_kernels",

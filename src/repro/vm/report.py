@@ -148,6 +148,28 @@ class ExecutionReport:
     def add_extra_cycles(self, cycles: float) -> None:
         self.extra_cycles += cycles
 
+    def copy(self) -> "ExecutionReport":
+        """An equal report that shares no mutable state with this one."""
+        return ExecutionReport(
+            counts=dict(self.counts),
+            cache_hits=self.cache_hits,
+            cache_misses=self.cache_misses,
+            max_live_vregs=self.max_live_vregs,
+            provenance={
+                prov: ProvenanceCost(
+                    cost.instructions,
+                    cost.shuffles,
+                    cost.cache_misses,
+                    dict(cost.charges),
+                )
+                for prov, cost in self.provenance.items()
+            },
+            array_accesses=dict(self.array_accesses),
+            array_misses=dict(self.array_misses),
+            charges=dict(self.charges),
+            extra_cycles=self.extra_cycles,
+        )
+
     def merge(self, other: "ExecutionReport") -> None:
         for category, count in other.counts.items():
             self.bump(category, count)

@@ -99,18 +99,12 @@ class Memory:
     ):
         if isinstance(plan_or_program, ExecutablePlan):
             program = plan_or_program.program
-            replicated = dict(plan_or_program.replicated_decls)
-            rep_types = {
-                unit.replication.new_name: program.arrays[
-                    unit.replication.source
-                ].type
-                for unit in plan_or_program.units
-                if isinstance(unit, CompiledCopy)
-            }
+            replicated = plan_or_program.replicated_decls
+            rep_bytes = replica_elem_bytes(plan_or_program)
         else:
             program = plan_or_program
             replicated = {}
-            rep_types = {}
+            rep_bytes = {}
         self.program = program
         self.arrays: Dict[str, np.ndarray] = {}
         self.scalars: Dict[str, float] = {}
@@ -130,8 +124,7 @@ class Memory:
             next_base += _aligned(decl.size * decl.type.bytes, line_bytes)
 
         for name, elements in replicated.items():
-            elem = rep_types.get(name)
-            bytes_per = elem.bytes if elem else 8
+            bytes_per = rep_bytes[name]
             self.arrays[name] = np.zeros(elements, dtype=np.float64)
             self._base[name] = next_base
             self._elem_bytes[name] = bytes_per
@@ -178,6 +171,21 @@ class Memory:
             elif a != b and not (math.isnan(a) and math.isnan(b)):
                 return False
         return True
+
+
+def replica_elem_bytes(plan: ExecutablePlan) -> Dict[str, int]:
+    """Element width of every replicated array: the width of the array
+    its copy unit reads, or 8 bytes when no copy unit names it."""
+    sources = {
+        unit.replication.new_name: unit.replication.source
+        for unit in plan.units
+        if isinstance(unit, CompiledCopy)
+    }
+    arrays = plan.program.arrays
+    return {
+        name: arrays[sources[name]].type.bytes if name in sources else 8
+        for name in plan.replicated_decls
+    }
 
 
 def _aligned(size: int, align: int) -> int:
@@ -333,12 +341,21 @@ class Simulator:
             state = _RunState(self.machine, memory, report, cache)
             impl = resolve_engine_impl("sim", self.engine)
             state.batched = impl.factory(self, plan, state)
-            env: Dict[str, int] = {}
-            for unit in plan.units:
-                self._run_unit(unit, env, state)
-            report.cache_hits = cache.hits
-            report.cache_misses = cache.misses
-            return report, memory
+            try:
+                env: Dict[str, int] = {}
+                for unit in plan.units:
+                    self._run_unit(unit, env, state)
+                report.cache_hits = cache.hits
+                report.cache_misses = cache.misses
+                if state.batched is not None:
+                    report = state.batched.finish(report)
+                return report, memory
+            finally:
+                # The engine and the state refer to each other. Break
+                # the cycle so this run's cache and scratch state are
+                # freed when the run returns, and the returned memory
+                # when the caller drops it, not at the next collection.
+                state.batched = None
 
     # -- unit execution -------------------------------------------------------------
 

@@ -16,6 +16,9 @@ path the engine relies on.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -42,12 +45,15 @@ from repro.vm import (
 )
 from repro.vm import compiled as compiled_mod
 from repro.vm import peephole
+from repro.vm.codegen import CompiledCopy
 from repro.vm.compiled import (
     clear_kernel_memo,
+    clear_timing_memo,
     emit_plan_kernels,
     kernel_fingerprint,
 )
 from repro.vm.peephole import VCopy, peephole_optimize
+from repro.vm.simulator import Memory
 
 MATRIX_MACHINES = [("intel", intel_dunnington), ("amd", amd_phenom_ii)]
 
@@ -321,6 +327,256 @@ class TestKernelCache:
         assert store.get_kernel(fingerprint) is None
 
 
+# -- the timing memo ---------------------------------------------------------------
+
+#: Seeds of the memo-hit runs; the memo is filled at seed 0.
+HIT_SEEDS = (0, 7)
+
+
+def _compiled_runs(plan, machine, seeds, memory_for=None):
+    """Compiled-engine runs in order, with the timing-memo hits they
+    scored."""
+    sim = Simulator(machine, engine="compiled")
+    PERF.reset()
+    PERF.enable()
+    try:
+        runs = [
+            sim.run(
+                plan,
+                memory=memory_for(seed) if memory_for else None,
+                seed=seed,
+            )
+            for seed in seeds
+        ]
+    finally:
+        PERF.disable()
+    return runs, PERF.counters.get("simulate.timing_memo_hits", 0)
+
+
+def _assert_memo_hits_match_reference(plan, machine):
+    """A first compiled run fills the memo; every later run is a memo
+    hit whose report and memory equal the reference engine's at that
+    run's seed. (An earlier, content-identical plan may have filled
+    the memo already, so it is cleared first.)"""
+    clear_timing_memo()
+    runs, hits = _compiled_runs(plan, machine, (0,) + HIT_SEEDS)
+    assert hits == len(HIT_SEEDS)
+    reference = Simulator(machine, engine="reference")
+    for seed, (report, memory) in zip(HIT_SEEDS, runs[1:]):
+        ref_report, ref_memory = reference.run(plan, seed=seed)
+        assert report == ref_report, seed
+        assert report.cycles == ref_report.cycles
+        assert memory.state_equal(ref_memory), seed
+
+
+def _timing_memo(plan, machine):
+    return compiled_mod._MEMO[kernel_fingerprint(plan, machine)].timing
+
+
+@pytest.mark.parametrize(
+    "kernel", ALL_KERNELS, ids=[k.name for k in ALL_KERNELS]
+)
+def test_kernel_matrix_memo_hits(kernel):
+    """Memo hits over the full kernel × variant × machine matrix."""
+    program = kernel.build(8)
+    for _, factory in MATRIX_MACHINES:
+        machine = factory()
+        for variant in DEFAULT_VARIANTS:
+            compiled = compile_program(program, variant, machine)
+            _assert_memo_hits_match_reference(
+                compiled.plan, compiled.machine
+            )
+
+
+class TestTimingMemo:
+    @pytest.mark.parametrize(
+        "src",
+        [REDUCTION_SRC, RECURRENCE_SRC, NESTED_SRC],
+        ids=["scalar-reduction", "array-recurrence", "nested"],
+    )
+    def test_fallback_plans(self, src):
+        """Fallback units run their normal path on a hit; only their
+        report and cache are thrown away."""
+        machine = intel_dunnington()
+        for variant in (Variant.SCALAR, Variant.GLOBAL):
+            compiled = compile_program(parse_program(src), variant, machine)
+            _assert_memo_hits_match_reference(compiled.plan, machine)
+
+    def test_layout_plans_with_copy_units(self):
+        machine = intel_dunnington()
+        covered = 0
+        for kernel in ALL_KERNELS:
+            compiled = compile_program(
+                kernel.build(32), Variant.GLOBAL_LAYOUT, machine
+            )
+            if not any(
+                isinstance(unit, CompiledCopy) for unit in compiled.plan.units
+            ):
+                continue
+            covered += 1
+            _assert_memo_hits_match_reference(compiled.plan, machine)
+        assert covered >= 1
+
+    def test_returned_reports_do_not_alias_the_memo(self):
+        compiled, machine = _affine_plan()
+        sim = Simulator(machine, engine="compiled")
+        expected, _ = Simulator(machine, engine="reference").run(
+            compiled.plan
+        )
+        for _ in range(3):
+            report, _ = sim.run(compiled.plan)
+            assert report == expected
+            report.counts["vector_op"] = -1
+            report.charges.clear()
+            report.array_accesses["C"] = -1
+            report.extra_cycles += 1.0
+            report.cache_misses += 1
+
+    def test_provenance_costs_do_not_alias_the_memo(self):
+        from repro.trace import TRACE
+
+        machine = intel_dunnington()
+        TRACE.reset()
+        TRACE.enable(variant="global")
+        try:
+            compiled = compile_program(
+                KERNELS["milc"].build(16), Variant.GLOBAL, machine
+            )
+        finally:
+            TRACE.disable()
+            TRACE.reset()
+        expected, _ = Simulator(machine, engine="reference").run(
+            compiled.plan
+        )
+        assert expected.provenance
+        sim = Simulator(machine, engine="compiled")
+        for _ in range(3):
+            report, _ = sim.run(compiled.plan)
+            assert report == expected
+            for cost in report.provenance.values():
+                cost.instructions += 1
+                cost.charges.clear()
+
+    def test_other_line_bytes_misses_the_memo(self):
+        compiled, machine = _affine_plan()
+        plan = compiled.plan
+        Simulator(machine, engine="compiled").run(plan)
+
+        def narrow(seed):
+            return Memory(plan, seed=seed, line_bytes=32)
+
+        runs, hits = _compiled_runs(plan, machine, (3, 4), narrow)
+        assert hits == 1
+        assert len(_timing_memo(plan, machine)) == 2
+        reference = Simulator(machine, engine="reference")
+        for seed, (report, memory) in zip((3, 4), runs):
+            ref_report, ref_memory = reference.run(
+                plan, memory=narrow(seed), seed=seed
+            )
+            assert report == ref_report
+            assert memory.state_equal(ref_memory)
+
+    def test_memo_stays_bounded_across_layouts(self):
+        compiled, machine = _affine_plan()
+        plan = compiled.plan
+        sim = Simulator(machine, engine="compiled")
+        reference = Simulator(machine, engine="reference")
+        for line_bytes in (8, 16, 32, 64, 128, 256) * 2:
+            report, _ = sim.run(
+                plan, memory=Memory(plan, line_bytes=line_bytes)
+            )
+            expected, _ = reference.run(
+                plan, memory=Memory(plan, line_bytes=line_bytes)
+            )
+            assert report == expected
+            assert len(_timing_memo(plan, machine)) <= compiled_mod._TIMING_CAP
+
+    def test_debug_mutator_bypasses_the_memo(self):
+        compiled, machine = _affine_plan()
+        Simulator(machine, engine="compiled").run(compiled.plan)
+        peephole.DEBUG_MUTATOR = buggy_peephole_mutator
+        try:
+            PERF.reset()
+            PERF.enable()
+            try:
+                for _ in range(2):
+                    Simulator(machine, engine="compiled").run(compiled.plan)
+            finally:
+                PERF.disable()
+        finally:
+            peephole.DEBUG_MUTATOR = None
+        assert PERF.counters.get("simulate.timing_memo_hits", 0) == 0
+        assert PERF.counters.get("compiled.emissions", 0) == 2
+
+    def test_raising_first_run_stores_nothing(self, monkeypatch):
+        compiled, machine = _affine_plan()
+        sim = Simulator(machine, engine="compiled")
+
+        def boom(self, program, trips):
+            raise RuntimeError("injected accounting failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(compiled_mod.CompiledEngine, "_account", boom)
+            with pytest.raises(RuntimeError):
+                sim.run(compiled.plan)
+        assert _timing_memo(compiled.plan, machine) == {}
+        _assert_memo_hits_match_reference(compiled.plan, machine)
+
+    def test_clear_timing_memo_forces_a_timed_run(self):
+        compiled, machine = _affine_plan()
+        _, hits = _compiled_runs(compiled.plan, machine, (0, 1))
+        assert hits == 1
+        clear_timing_memo()
+        assert _timing_memo(compiled.plan, machine) == {}
+        _, hits = _compiled_runs(compiled.plan, machine, (2,))
+        assert hits == 0
+
+    def test_memo_hits_count_compiled_loops(self):
+        compiled, machine = _affine_plan()
+        _, hits = _compiled_runs(compiled.plan, machine, (0, 1))
+        assert hits == 1
+        assert PERF.counters.get("simulate.compiled_loops", 0) == 2
+
+    @pytest.mark.parametrize("engine", ["reference", "batched", "compiled"])
+    def test_runs_free_their_memory_without_a_collection(self, engine):
+        """A run leaves no reference cycle behind: the memory it returns
+        is freed as soon as the caller drops it, on a timed run and on a
+        memo hit alike. (A memo hit allocates little, so memories kept
+        alive until the next cyclic collection piled up.)"""
+        compiled, machine = _affine_plan()
+        sim = Simulator(machine, engine=engine)
+        gc.collect()
+        gc.disable()
+        try:
+            for seed in (0, 1):
+                _, memory = sim.run(compiled.plan, seed=seed)
+                alive = weakref.ref(memory)
+                del memory
+                assert alive() is None, seed
+        finally:
+            gc.enable()
+
+    def test_non_loop_units_are_fingerprinted(self):
+        """Two plans of one loop-free program share every loop (there
+        are none) but not their straight-line code; the second must
+        not be served the first one's memoized timing."""
+        machine = intel_dunnington()
+        program = parse_program(
+            "double A[8]; double B[8];\n"
+            + "".join(f"A[{k}] = B[{k}] + 1.0;\n" for k in range(4))
+        )
+        scalar = compile_program(program, Variant.SCALAR, machine).plan
+        vector = compile_program(program, Variant.GLOBAL, machine).plan
+        assert kernel_fingerprint(scalar, machine) != kernel_fingerprint(
+            vector, machine
+        )
+        sim = Simulator(machine, engine="compiled")
+        sim.run(scalar)
+        report, _ = sim.run(vector)
+        expected, _ = Simulator(machine, engine="reference").run(vector)
+        assert report == expected
+
+
 # -- peephole pass -----------------------------------------------------------------
 
 
@@ -509,6 +765,23 @@ class TestBulkReplay:
             with pytest.raises(SimulationError) as exc:
                 getattr(cache, method)(bad)
             assert exc.value.rule == "cache.replay-stream"
+
+    def test_bulk_matches_across_key_widths(self):
+        """Line IDs of 16 bits or more take the wide sort path. A chunk
+        of narrow IDs replayed after them must still tell residents
+        ``k`` and ``k + 2**16`` apart."""
+        rng = np.random.default_rng(5)
+        config = intel_dunnington().l1
+        low = rng.integers(0, 512, size=300)
+        wide = rng.permutation(np.concatenate([low, low + (1 << 16)]))
+        narrow = rng.integers(0, 512, size=600)
+        seq, bulk = Cache(config), Cache(config)
+        a = seq.replay_lines(np.concatenate([wide, narrow]))
+        b = np.concatenate(
+            [bulk.replay_lines_bulk(wide), bulk.replay_lines_bulk(narrow)]
+        )
+        assert np.array_equal(a, b)
+        assert (seq.hits, seq.misses) == (bulk.hits, bulk.misses)
 
     def test_bulk_matches_after_interleaving(self):
         """Chained calls against one cache instance must agree with a

@@ -87,6 +87,60 @@ class TestOracle:
         assert match_predicate(divergence, intel_dunnington(), buggy)(reduced)
 
 
+MEMO_SRC = """
+double A[64];
+double B[64];
+for (i = 0; i < 64; i += 1) {
+    B[i] = A[i] * 2.0;
+}
+"""
+
+
+class TestMemoOracle:
+    """The oracle reruns the compiled engine at another seed, which is
+    a timing-memo hit; a memo that serves wrong timing or skips
+    functional work must surface as a ``memo`` divergence."""
+
+    def test_clean_memo_passes(self):
+        result = differential_check(parse_program(MEMO_SRC))
+        assert result.status == "ok"
+
+    def test_skewed_memo_report_is_caught(self, monkeypatch):
+        from repro.vm.compiled import CompiledEngine, clear_timing_memo
+
+        finish = CompiledEngine.finish
+
+        def skewed(self, report):
+            out = finish(self, report)
+            if self._memo_report is not None:
+                out.extra_cycles += 1.0
+            return out
+
+        clear_timing_memo()
+        monkeypatch.setattr(CompiledEngine, "finish", skewed)
+        result = differential_check(parse_program(MEMO_SRC))
+        assert result.status == "diverged"
+        assert result.divergence.kind == "memo"
+        assert "report" in result.divergence.detail.lower()
+
+    def test_skipped_kernel_on_memo_hit_is_caught(self, monkeypatch):
+        from repro.vm.compiled import CompiledEngine, clear_timing_memo
+
+        run_loop = CompiledEngine.run_loop
+
+        def lazy(self, unit, env):
+            if self._memo_report is not None:
+                return True
+            return run_loop(self, unit, env)
+
+        clear_timing_memo()
+        monkeypatch.setattr(CompiledEngine, "run_loop", lazy)
+        result = differential_check(parse_program(MEMO_SRC))
+        assert result.status == "diverged"
+        assert result.divergence.kind == "memo"
+        assert "memory" in result.divergence.detail
+
+
 class TestReducer:
     def test_reduces_to_minimal_dependent_pair(self):
         program = parse_program(

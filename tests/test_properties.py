@@ -311,3 +311,41 @@ class TestAffineProperties:
         a = Affine.of(const, i=coeff)
         shifted = a.substitute({"i": Affine.var("i") + shift})
         assert shifted.evaluate({"i": i}) == a.evaluate({"i": i + shift})
+
+
+class TestTimingIsDataOblivious:
+    """The invariant the compiled engine's timing memo rests on: every
+    address is affine in loop indices and ``vselect`` evaluates both
+    arms, so a plan's ``ExecutionReport`` depends on the plan, the
+    machine and the memory layout, never on the data."""
+
+    @pytest.mark.parametrize(
+        "conditional", [False, True], ids=["plain", "conditional"]
+    )
+    @given(
+        case_seed=st.integers(min_value=0, max_value=10**6),
+        sim_seed=st.integers(min_value=1, max_value=10**4),
+        variant=st.sampled_from(
+            [Variant.SCALAR, Variant.GLOBAL, Variant.GLOBAL_LAYOUT]
+        ),
+    )
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_reports_identical_across_seeds(
+        self, conditional, case_seed, sim_seed, variant
+    ):
+        from repro.fuzz import generate_case
+        from repro.vm import Simulator
+        from repro.vm.compiled import clear_timing_memo
+
+        case = generate_case(case_seed, conditional=conditional)
+        machine = intel_dunnington()
+        plan = compile_program(case.program, variant, machine).plan
+        for engine in ("reference", "batched", "compiled"):
+            simulator = Simulator(machine, engine=engine)
+            reports = []
+            for seed in (0, sim_seed):
+                # Without the memo, both compiled runs replay the cache.
+                clear_timing_memo()
+                reports.append(simulator.run(plan, seed=seed)[0])
+            assert reports[0] == reports[1], engine
